@@ -56,18 +56,20 @@ def main() -> int:
     parser.add_argument("--last", type=int, required=True)
     parser.add_argument("--extra-seed", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--workloads", default="")
+    parser.add_argument("--workloads", default="",
+                        help="comma-separated; default: those in BENCHMARK.json")
     args = parser.parse_args()
 
     import numpy
 
+    import speed
     import workload_http
-    from run import WORKLOADS
 
     spec = json.loads(Path("BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     seeds = list(range(args.first, args.last + 1))
-    chosen = args.workloads.split(",") if args.workloads else WORKLOADS
+    listed = [w["name"] for w in spec["workloads"]]
+    chosen = args.workloads.split(",") if args.workloads else listed
     out = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     out.update({
         "environment": {
@@ -75,6 +77,7 @@ def main() -> int:
             "python": platform.python_version(),
             "numpy": numpy.__version__,
             "machine": platform.machine(),
+            "reference_kernel_s": speed.REFERENCE_KERNEL_S,
         },
         "run_seconds": seconds,
         "seeds": seeds,

@@ -9,17 +9,6 @@ from pathlib import Path
 from typing import Dict, List, Sequence
 
 
-#: Quantile behind the gated latency and throughput metrics. The machine
-#: these figures were taken on (2 shared vCPUs) switches between a fast
-#: state and one ~1.5x slower every few seconds, for a share of each run
-#: that varies from run to run. Contention only ever adds time, so the
-#: fastest decile tracks the program while the median and the mean move
-#: with that share: over six 30 s session runs, the spread (quartile
-#: distance over median) of batch-1 latency was 0.06 at p10, 0.26 at p50
-#: and 0.25 for the mean. Medians, means and tails are printed beside it.
-FAST_QUANTILE = 0.1
-
-
 def quantile(values: Sequence[float], q: float) -> float:
     """Linear-interpolated quantile (numpy's default method), ``q`` in [0, 1]."""
     ordered = sorted(values)

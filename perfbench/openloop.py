@@ -8,7 +8,8 @@ A request due while every connection is busy waits for one; that wait is
 latency. The generator's own lateness is separate: the time from when a
 request could leave (due, with a free connection) until it left. When its
 p99 exceeds ``LATE_P99_BOUND_MS`` the phase measured the generator, not
-the service, and is marked invalid.
+the service, and is marked invalid. ``run_saturated`` drops the schedule:
+each connection sends its next request as soon as the last is answered.
 """
 
 from __future__ import annotations
@@ -168,10 +169,54 @@ class Generator:
         ]
         for thread in threads:
             thread.start()
+        self._join(threads, seconds)
+        completed_by_end = sum(1 for o in outcomes if o.done <= end)
+        outcomes.sort(key=lambda o: o.index)
+        return Phase(rate, seconds, outcomes, count, count - completed_by_end)
+
+    def run_saturated(self, seconds: float, body: Callable[[int], bytes]) -> Phase:
+        """Every connection sends back to back for ``seconds``: the saturated load.
+
+        Each request is due when its connection is free, so latency is
+        timed from send and nothing is late. ``body(i)`` builds request
+        ``i``, one call at a time. A request in flight at the end completes,
+        but the phase's ``rate`` counts only the requests answered by then,
+        per second: the throughput.
+        """
+        lock = threading.Lock()
+        cursor = [0]
+        outcomes: List[Outcome] = []
+        start = time.perf_counter()
+        end = start + seconds
+
+        def sender(slot: int) -> None:
+            while time.perf_counter() < end:
+                with lock:
+                    i = cursor[0]
+                    cursor[0] += 1
+                    payload = body(i)
+                sent = time.perf_counter()
+                status, document = self.post(slot, payload)
+                done = time.perf_counter()
+                with lock:
+                    outcomes.append(Outcome(i, sent, sent, done, 0.0, status, document))
+
+        threads = [
+            threading.Thread(
+                target=sender, args=(slot,), name=f"saturate-{slot}", daemon=True
+            )
+            for slot in range(len(self.connections))
+        ]
+        for thread in threads:
+            thread.start()
+        self._join(threads, seconds)
+        outcomes.sort(key=lambda o: o.index)
+        answered = sum(1 for o in outcomes if o.done <= end and o.status == 200)
+        return Phase(answered / seconds, seconds, outcomes, len(outcomes), 0)
+
+    @staticmethod
+    def _join(threads, seconds: float) -> None:
         for thread in threads:
             thread.join(REQUEST_TIMEOUT_S + seconds + 5.0)
             if thread.is_alive():
                 raise RuntimeError("load generator thread did not finish")
-        completed_by_end = sum(1 for o in outcomes if o.done <= end)
-        outcomes.sort(key=lambda o: o.index)
-        return Phase(rate, seconds, outcomes, count, count - completed_by_end)

@@ -11,7 +11,11 @@ corpus at scale 0.25, made from ``--seed``):
 - ``session_predict``: a warm ``InferenceSession`` scoring unseen articles
   at batch 1, then at batch 64, closed loop.
 - ``http_open_loop``: ``repro serve http --workers 1 --shards 1`` in its
-  own process, driven open loop over a ladder of arrival rates.
+  own process, driven open loop over a ladder of arrival rates. It is not
+  in ``BENCHMARK.json``: on the shared 2-vCPU host its figures spread up to
+  0.18-0.25 (quartile distance over median, ten runs), so it cannot gate a
+  25% bound. The traced run of ``session_predict`` splits the HTTP path's
+  layers instead; run it by name to see the path end to end.
 
 Every workload reports the same end-to-end metrics:
 
@@ -21,16 +25,23 @@ metric              train_full_graph    session_predict     http_open_loop
 setup_s             fit wall - steps    load + session      spawn to healthz ok
 peak_rss_mb         this process        this process        service + worker
 success_ratio       1 - failed / attempted operations; a failed check is a failure
-latency_p10_ms      step                batch-1 call        request at the
-                                                            reference rate, from
+latency_ms          step p50            batch-1 call p50,   request p10 at the
+                                        reference speed     reference rate, from
                                                             its due time
-throughput_per_s    nodes per p10 step  articles per s at   capacity: highest
-                                        p10 batch-64 call   passing rate
+throughput_per_s    nodes per p50 step  articles per s at   2 connections back
+                                        the batch-64 call   to back over their
+                                        p50, reference      p10 round trip
+                                        speed
 ==================  ==================  ==================  ====================
 
-Set-up is repeated several times per run and its median reported. Gated
-latencies are the fastest decile (``measure.FAST_QUANTILE`` says why); the
-mean, p50, p90/p95 and p99 of each are printed in the report lines.
+Set-up is repeated several times per run and its median reported.
+Session calls are scaled to the reference speed of ``speed.py``: each call
+is timed next to a fixed kernel, which removes the host's slow spells from
+these Python-bound calls; raw wall-clock figures are printed beside them.
+The train step and the HTTP path do not slow down in step with that
+kernel, so they are reported as measured. The other figures the issue names
+(step, call and request p50/p99, the ladder capacity) are printed in the
+report lines.
 
 With ``--trace 0`` the last stdout line is a JSON object whose metrics are
 the end-to-end metrics of ``BENCHMARK.json``; with ``--trace 1`` it holds

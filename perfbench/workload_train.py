@@ -19,9 +19,7 @@ from pathlib import Path
 from time import perf_counter
 
 from inputs import corpus
-from measure import (
-    FAST_QUANTILE, Result, describe_ms, mean, median, quantile, self_peak_rss_mb,
-)
+from measure import Result, describe_ms, mean, median, self_peak_rss_mb
 
 #: Epochs per fit; also the length of the recorded loss trajectories.
 FIT_EPOCHS = 6
@@ -126,18 +124,17 @@ def run(seed: int, seconds: float, trace: bool, work: Path) -> Result:
         if perf_counter() + wall > deadline:
             break
 
-    fast_step = quantile(steps, FAST_QUANTILE)
+    step = median(steps)
     result.metrics.update(
         setup_s=median(setups),
         peak_rss_mb=self_peak_rss_mb(),
-        latency_p10_ms=1e3 * fast_step,
-        throughput_per_s=nodes / fast_step,
+        latency_ms=1e3 * step,
+        throughput_per_s=nodes / step,
     )
     result.report.append(describe_ms("steps", steps))
-    result.report.append(f"train_step_ms_p50 = {1e3 * median(steps):.3f} ms")
+    result.report.append(f"train_step_ms_p50 = {1e3 * step:.3f} ms")
     result.report.append(
-        f"train_nodes_per_s = {nodes / median(steps):.1f} 1/s at the step p50, "
-        f"{nodes / fast_step:.1f} 1/s at the step p10 ({nodes} nodes per step)"
+        f"train_nodes_per_s = {nodes / step:.1f} 1/s at the step p50 ({nodes} nodes per step)"
     )
     result.report.append(f"train_test_acc = {reference['test_acc']:.4f}")
     result.report.append(f"train_final_loss = {reference['loss'][-1]!r}")
