@@ -146,12 +146,21 @@ def gru_sequence(seq_embedded, mask, w_x, w_h, b, reverse: bool = False) -> Tens
         m = m[:, ::-1]
     Wh_zr = Wh[:, : 2 * H]
     Wh_c = Wh[:, 2 * H :]
+    # σ(a) = (1 + tanh(a/2)) / 2: the ½ inside tanh is folded into the
+    # z/r columns of the forward weights. Scaling by a power of two is
+    # exact outside the subnormal range, so every product and partial sum
+    # is exactly halved and tanh
+    # sees the same bits as ``tanh(0.5 * a)``. The backward closure keeps
+    # the unscaled weights.
+    half = np.ones(3 * H)
+    half[: 2 * H] = 0.5
+    Wh_zr_half = Wh_zr * 0.5
     # Time-major internal layout: every per-step slice below (projections,
     # saved activations, gradients) is a contiguous (B, ·) block.
     xT = np.ascontiguousarray(np.swapaxes(x, 0, 1))
     mT = np.ascontiguousarray(m.T)
     # All input projections for all timesteps in one big matmul.
-    proj = (xT.reshape(T * B, E) @ Wx + bias).reshape(T, B, 3 * H)
+    proj = (xT.reshape(T * B, E) @ (Wx * half) + bias * half).reshape(T, B, 3 * H)
     m3 = mT[:, :, None]
     keep3 = 1.0 - m3
     # Columns where every row is a real token need no mask blend at all —
@@ -162,31 +171,32 @@ def gru_sequence(seq_embedded, mask, w_x, w_h, b, reverse: bool = False) -> Tens
     zrs = np.empty((T, B, 2 * H))
     cs = np.empty((T, B, H))
     rh = np.empty((B, H))
-    # The step below is (1 − z) ⊙ h + z ⊙ c regrouped as h + z ⊙ (c − h)
-    # and written straight into the saved buffers — every reordering is a
-    # commutative add/multiply, so the trajectory is bit-identical to the
-    # naive form while skipping the per-step temporaries (single-article
-    # serving pays numpy dispatch, not FLOPs, in this loop).
-    for t in range(T):
-        pt = proj[t]
-        zr = zrs[t]
-        np.dot(h, Wh_zr, out=zr)
-        zr += pt[:, : 2 * H]
-        _sigmoid(zr, out=zr)
-        z = zr[:, :H]
-        r = zr[:, H:]
-        c = cs[t]
+    # The step below computes (1 − z) ⊙ h + z ⊙ c as h + z ⊙ (c − h),
+    # written straight into the saved buffers through views split before
+    # the loop, so an unmasked step allocates nothing and slices nothing
+    # (single-article serving pays numpy dispatch, not FLOPs, in this
+    # loop). The two forms agree to rounding; tests pin this loop bit for
+    # bit against a plain per-step reference of the regrouped form.
+    steps = zip(
+        proj[:, :, : 2 * H], proj[:, :, 2 * H :], zrs, zrs[:, :, :H],
+        zrs[:, :, H:], cs, states, full_cols, m3, keep3,
+    )
+    for p_zr, p_c, zr, z, r, c, h_new, full, m_t, keep_t in steps:
+        np.dot(h, Wh_zr_half, out=zr)
+        zr += p_zr
+        np.tanh(zr, out=zr)
+        zr += 1.0
+        zr *= 0.5
         np.multiply(r, h, out=rh)
         np.dot(rh, Wh_c, out=c)
-        c += pt[:, 2 * H :]
+        c += p_c
         np.tanh(c, out=c)
-        h_new = states[t]
         np.subtract(c, h, out=h_new)
         h_new *= z
         h_new += h
-        if not full_cols[t]:
-            h_new *= m3[t]
-            h_new += keep3[t] * h
+        if not full:
+            h_new *= m_t
+            h_new += keep_t * h
         h = h_new
 
     def backward(grad):

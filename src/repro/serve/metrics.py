@@ -114,8 +114,10 @@ class ServingMetrics:
         self._latency.observe_many(latencies)
         self._queue_wait.observe_many(queue_waits)
 
-    def record_cache(self, hit: bool) -> None:
-        (self._cache_hits if hit else self._cache_misses).inc(1)
+    def record_cache(self, hit: bool, count: int = 1) -> None:
+        """Account ``count`` feature-cache lookups that all hit or all missed."""
+        if count > 0:
+            (self._cache_hits if hit else self._cache_misses).inc(count)
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -127,7 +127,11 @@ class InferenceSession:
                     detector.features, detector.graph
                 )
         self._graph_logits = {kind: t.data.copy() for kind, t in logits.items()}
-        self._h_creator = states["creator"].data.copy()
+        # Row ``_unknown_creator`` (one past the last creator) is the zero
+        # state unknown creators take.
+        h_creator = states["creator"].data
+        self._unknown_creator = h_creator.shape[0]
+        self._h_creator = np.vstack([h_creator, np.zeros((1, h_creator.shape[1]))])
         self._h_subject = states["subject"].data.copy()
         self._creator_rows = dict(detector.features.creators.index)
         self._subject_rows = dict(detector.features.subjects.index)
@@ -153,11 +157,6 @@ class InferenceSession:
                 self._known_nodes[eid] = (kind, row)
 
     # ------------------------------------------------------------------
-    def _encode(self, text: str):
-        """(explicit, sequence) features for one text, via the LRU cache."""
-        explicit, sequences = self._encode_batch([text])
-        return explicit[0], sequences[0]
-
     def _encode_batch(self, texts: Sequence[str]):
         """Batched ``(explicit (n, d), sequences (n, T))`` feature encode.
 
@@ -166,40 +165,67 @@ class InferenceSession:
         path (:meth:`repro.text.BagOfWordsExtractor.transform_csr`) instead
         of per-row dense building, the token ids in one ``encode_batch``.
         """
-        encoded: List = [None] * len(texts)
-        keys: List[str] = []
-        miss_idx: List[int] = []
-        miss_tokens: List = []
-        for i, text in enumerate(texts):
-            key = _text_key(text)
-            keys.append(key)
-            cached = self._feature_cache.get(key)
-            if cached is not None:
-                self.metrics.record_cache(hit=True)
-                encoded[i] = cached
-            else:
-                self.metrics.record_cache(hit=False)
-                miss_idx.append(i)
-                miss_tokens.append(tokenize(text))
+        keys = [_text_key(text) for text in texts]
+        encoded = [self._feature_cache.get(key) for key in keys]
+        miss_idx = [i for i, pair in enumerate(encoded) if pair is None]
+        self.metrics.record_cache(True, len(texts) - len(miss_idx))
+        self.metrics.record_cache(False, len(miss_idx))
         if miss_idx:
-            if len(miss_tokens) == 1:
-                # Single-request misses skip CSR assembly: one dict-lookup
-                # count pass produces bit-identical features (the row norm
-                # sums the same non-zeros either way).
-                explicit = self._extractor.transform_one(miss_tokens[0])[None]
+            tokens = [tokenize(texts[i]) for i in miss_idx]
+            if len(tokens) == 1:
+                # A single miss skips CSR assembly: one dict-lookup count
+                # pass gives bit-identical features (the row norm sums the
+                # same non-zeros either way) with a handful of numpy calls
+                # instead of the CSR path's few dozen, several times faster.
+                explicit = self._extractor.transform_one(tokens[0])[None]
             else:
-                explicit = self._extractor.transform(miss_tokens)
-            sequences = encode_batch(
-                miss_tokens, self._vocab, self.config.max_seq_len
-            )
+                explicit = self._extractor.transform(tokens)
+            sequences = encode_batch(tokens, self._vocab, self.config.max_seq_len)
             for j, i in enumerate(miss_idx):
-                pair = (explicit[j], sequences[j])
-                encoded[i] = pair
-                self._feature_cache.put(keys[i], pair)
+                encoded[i] = (explicit[j], sequences[j])
+                self._feature_cache.put(keys[i], encoded[i])
+            if len(miss_idx) == len(texts):
+                return explicit, sequences
         return (
             np.stack([e for e, _ in encoded]),
             np.stack([s for _, s in encoded]),
         )
+
+    def _neighbour_states(self, articles: Sequence):
+        """``(z, t)``: mean known-subject state and creator state per article.
+
+        The creator states are one gather from ``_h_creator``, whose
+        trailing zero row stands in for unknown creators. Subject means are
+        taken per distinct known-subject count ``k``: the ``(g, k, H)``
+        block of the ``g`` articles with ``k`` known subjects is averaged
+        over its middle axis, which adds the same rows in the same order
+        as a per-article ``h[rows].mean(axis=0)`` — bit-identical results.
+        Articles with no known subject keep the zero state.
+        """
+        creator_rows = self._creator_rows
+        t = self._h_creator.take(
+            [creator_rows.get(a.creator_id, self._unknown_creator) for a in articles],
+            axis=0,
+        )
+        subject_rows = self._subject_rows
+        groups: Dict[int, tuple] = {}
+        for i, article in enumerate(articles):
+            rows = [subject_rows[s] for s in article.subject_ids if s in subject_rows]
+            if rows:
+                members, blocks = groups.setdefault(len(rows), ([], []))
+                members.append(i)
+                blocks.append(rows)
+        means = [
+            (members, self._h_subject.take(blocks, axis=0).mean(axis=1))
+            for members, blocks in groups.values()
+        ]
+        if len(means) == 1 and len(means[0][0]) == len(articles):
+            # One group holds every article (always so for one article).
+            return means[0][1], t
+        z = np.zeros((len(articles), self._h_subject.shape[1]))
+        for members, mean in means:
+            z[members] = mean
+        return z, t
 
     def predict(
         self,
@@ -270,20 +296,7 @@ class InferenceSession:
                     [a.text for a in articles]
                 )
 
-            hidden = model.gdu_article.hidden_dim
-            z = np.zeros((len(articles), hidden))
-            t = np.zeros((len(articles), hidden))
-            for i, article in enumerate(articles):
-                known_subjects = [
-                    self._subject_rows[s]
-                    for s in article.subject_ids
-                    if s in self._subject_rows
-                ]
-                if known_subjects:
-                    z[i] = self._h_subject[known_subjects].mean(axis=0)
-                creator_row = self._creator_rows.get(article.creator_id)
-                if creator_row is not None:
-                    t[i] = self._h_creator[creator_row]
+            z, t = self._neighbour_states(articles)
 
             # Forward-only scoring: no_tape skips graph/grad bookkeeping.
             with no_tape():

@@ -35,19 +35,7 @@ def encode_sequence(
         ``"tail"`` keeps the first ``max_length`` tokens; ``"head"`` keeps
         the last ones.
     """
-    if max_length <= 0:
-        raise ValueError("max_length must be positive")
-    indices = vocab.encode(tokens)
-    if len(indices) > max_length:
-        if truncate == "tail":
-            indices = indices[:max_length]
-        elif truncate == "head":
-            indices = indices[-max_length:]
-        else:
-            raise ValueError(f"unknown truncate mode {truncate!r}")
-    out = np.full(max_length, PAD_INDEX, dtype=np.int64)
-    out[: len(indices)] = indices
-    return out
+    return encode_batch([tokens], vocab, max_length, truncate=truncate)[0]
 
 
 def encode_batch(
@@ -56,10 +44,32 @@ def encode_batch(
     max_length: int,
     truncate: str = "tail",
 ) -> np.ndarray:
-    """Encode many token lists into an (n, max_length) index matrix."""
-    out = np.full((len(documents), max_length), PAD_INDEX, dtype=np.int64)
-    for i, doc in enumerate(documents):
-        out[i] = encode_sequence(doc, vocab, max_length, truncate=truncate)
+    """Encode many token lists into an (n, max_length) index matrix.
+
+    Each document is cut to its kept window first, so only kept tokens are
+    looked up; one vocabulary pass then maps the whole batch to a flat id
+    list, and one boolean-mask assignment lays it into the right-padded
+    matrix (row-major mask order is exactly row by row, left to right).
+    Arguments as in :func:`encode_sequence`.
+    """
+    if max_length <= 0:
+        raise ValueError("max_length must be positive")
+    if truncate == "tail":
+        window = slice(None, max_length)
+    elif truncate == "head":
+        window = slice(-max_length, None)
+    else:
+        raise ValueError(f"unknown truncate mode {truncate!r}")
+    kept = [doc[window] for doc in documents]
+    ids = vocab.encode([tok for doc in kept for tok in doc])
+    out = np.full((len(kept), max_length), PAD_INDEX, dtype=np.int64)
+    if len(kept) == 1:
+        # Batch-1 serving: a slice assignment costs fewer numpy calls
+        # than building the mask.
+        out[0, : len(ids)] = ids
+    else:
+        lengths = np.fromiter(map(len, kept), dtype=np.intp, count=len(kept))
+        out[np.arange(max_length) < lengths[:, None]] = ids
     return out
 
 

@@ -99,28 +99,26 @@ def csr_from_token_docs(
 ) -> CsrMatrix:
     """Count-vector CSR batch from token lists (the BoW construction).
 
-    One dict lookup per token (the unavoidable Python part), then the
-    per-document unique/count aggregation runs in numpy.
+    One dict lookup per token (the unavoidable Python part) collects the
+    whole batch's word ids into a flat list; a single ``np.unique`` over the
+    ``row * dim + word_id`` keys then aggregates the counts of every
+    document at once. The keys sort by row first and word id second, so
+    each row's indices come out strictly increasing, exactly as a
+    per-document ``np.unique`` would leave them.
     """
     n = len(documents)
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    idx_chunks = []
-    cnt_chunks = []
+    get = word_to_index.get
+    ids: list = []
+    lengths = np.empty(n, dtype=np.intp)
     for i, doc in enumerate(documents):
-        hits = [word_to_index[tok] for tok in doc if tok in word_to_index]
-        if hits:
-            uniq, counts = np.unique(
-                np.asarray(hits, dtype=np.intp), return_counts=True
-            )
-            idx_chunks.append(uniq)
-            cnt_chunks.append(counts.astype(np.float64))
-            indptr[i + 1] = indptr[i] + uniq.size
-        else:
-            indptr[i + 1] = indptr[i]
-    if idx_chunks:
-        indices = np.concatenate(idx_chunks)
-        values = np.concatenate(cnt_chunks)
-    else:
-        indices = np.zeros(0, dtype=np.intp)
-        values = np.zeros(0, dtype=np.float64)
-    return CsrMatrix(indptr, indices, values, (n, dim))
+        before = len(ids)
+        ids.extend([j for j in map(get, doc) if j is not None])
+        lengths[i] = len(ids) - before
+    rows = np.repeat(np.arange(n, dtype=np.intp), lengths)
+    keys, counts = np.unique(
+        rows * dim + np.asarray(ids, dtype=np.intp), return_counts=True
+    )
+    key_rows, indices = np.divmod(keys, dim)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(key_rows, minlength=n), out=indptr[1:])
+    return CsrMatrix(indptr, indices, counts.astype(np.float64), (n, dim))

@@ -87,7 +87,8 @@ class Vocabulary:
 
     def encode(self, tokens: Sequence[str]) -> List[int]:
         """Map a token sequence to indices."""
-        return [self.index(t) for t in tokens]
+        get = self._token_to_index.get
+        return [get(t, UNK_INDEX) for t in tokens]
 
     def decode(self, indices: Sequence[int]) -> List[str]:
         """Map indices back to tokens (pads are dropped)."""

@@ -108,6 +108,51 @@ class TestKernelSemantics:
             embedding_gather(weight, np.array([[0, 4]]))
 
 
+def _naive_gru_forward(x, mask, w_x, w_h, b, reverse=False):
+    """Per-step GRU with σ(a) = (1 + tanh(a/2)) / 2 and unscaled weights.
+
+    The input projections come from one time-major matmul, as in the
+    kernel; every step is then written out in its plain form.
+    """
+    if reverse:
+        x, mask = x[:, ::-1], mask[:, ::-1]
+    B, T, E = x.shape
+    H = w_h.shape[0]
+    xT = np.ascontiguousarray(np.swapaxes(x, 0, 1))
+    proj = (xT.reshape(T * B, E) @ w_x + b).reshape(T, B, 3 * H)
+    h = np.zeros((B, H))
+    out = np.empty((B, T, H))
+    for t in range(T):
+        zr = 0.5 * (1.0 + np.tanh(0.5 * (h @ w_h[:, : 2 * H] + proj[t, :, : 2 * H])))
+        z, r = zr[:, :H], zr[:, H:]
+        c = np.tanh((r * h) @ w_h[:, 2 * H :] + proj[t, :, 2 * H :])
+        h_step = h + z * (c - h)
+        m = mask[:, t : t + 1]
+        h = h_step * m + (1.0 - m) * h
+        out[:, t] = h
+    return out[:, ::-1] if reverse else out
+
+
+class TestGruForwardExact:
+    """The forward step loop is bit-identical to the plain recurrence."""
+
+    @pytest.mark.parametrize(
+        "B, ragged, reverse",
+        [(1, False, False), (1, True, True), (9, True, False), (9, True, True)],
+    )
+    def test_matches_naive_reference(self, rng, B, ragged, reverse):
+        T, E, H = 21, 16, 32
+        x = rng.standard_normal((B, T, E))
+        w_x, w_h, b = (t.data for t in _stacked(rng, E, H, gates=3))
+        lengths = rng.integers(0, T + 1, B) if ragged else np.full(B, T)
+        if ragged and B > 2:
+            lengths[:2] = (0, T)
+        mask = (np.arange(T) < lengths[:, None]).astype(np.float64)
+        got = gru_sequence(x, mask, w_x, w_h, b, reverse=reverse).data
+        want = _naive_gru_forward(x, mask, w_x, w_h, b, reverse=reverse)
+        np.testing.assert_array_equal(got, want)
+
+
 def _pair(cell, rng_seed=0, **kwargs):
     """Two identically-initialized encoders, fused and unrolled."""
     make = lambda fused: GRUEncoder(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor
+from repro.autograd import Tensor, no_tape
 from repro.core import FakeDetector, FakeDetectorConfig, Prediction
 from repro.data import Article, CredibilityLabel
 from repro.serve import ArticleRequest, InferenceSession
@@ -279,3 +279,62 @@ class TestUnifiedSurface:
         b = full.predict(stripped, return_proba=True)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.proba, y.proba)
+
+
+class TestNeighbourGather:
+    """Batched z/t gathering equals the per-article lookups bit for bit."""
+
+    @pytest.fixture()
+    def mixed_articles(self, fitted):
+        detector, _ = fitted
+        subjects = sorted(detector.features.subjects.index)
+        creators = sorted(detector.features.creators.index)
+        return [
+            ArticleRequest("n0", "no subjects at all", "ghost_creator", []),
+            ArticleRequest("n1", "one subject", creators[0],
+                           [subjects[0], "ghost_subject"]),
+            ArticleRequest("n2", "several subjects", creators[1], subjects[1:4]),
+            ArticleRequest("n3", "several again", "ghost_creator",
+                           ["ghost_subject", *subjects[4:7]]),
+            ArticleRequest("n4", "two subjects", creators[0], subjects[2:4]),
+            ArticleRequest("n5", "only unknown subjects", creators[2],
+                           ["ghost_a", "ghost_b"]),
+        ]
+
+    @staticmethod
+    def expected_states(detector, articles):
+        with no_tape():
+            _, states = detector.model.forward_with_states(
+                detector.features, detector.graph
+            )
+        h_u, h_s = states["creator"].data, states["subject"].data
+        c_index = detector.features.creators.index
+        s_index = detector.features.subjects.index
+        z = np.zeros((len(articles), h_s.shape[1]))
+        t = np.zeros((len(articles), h_u.shape[1]))
+        for i, article in enumerate(articles):
+            rows = [s_index[s] for s in article.subject_ids if s in s_index]
+            if rows:
+                z[i] = h_s[rows].mean(axis=0)
+            if article.creator_id in c_index:
+                t[i] = h_u[c_index[article.creator_id]]
+        return z, t
+
+    def test_mixed_batch_bit_equal(self, fitted, mixed_articles):
+        detector, _ = fitted
+        session = InferenceSession(detector)
+        z, t = session._neighbour_states(mixed_articles)
+        want_z, want_t = self.expected_states(detector, mixed_articles)
+        np.testing.assert_array_equal(z, want_z)
+        np.testing.assert_array_equal(t, want_t)
+        assert not z[0].any() and not t[0].any() and not z[5].any()
+        assert not t[3].any() and t[1].any() and z[2].any()
+
+    def test_batch_one_bit_equal(self, fitted, mixed_articles):
+        detector, _ = fitted
+        session = InferenceSession(detector)
+        want_z, want_t = self.expected_states(detector, mixed_articles)
+        for i, article in enumerate(mixed_articles):
+            z, t = session._neighbour_states([article])
+            np.testing.assert_array_equal(z, want_z[i : i + 1])
+            np.testing.assert_array_equal(t, want_t[i : i + 1])

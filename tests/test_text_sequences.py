@@ -66,6 +66,16 @@ class TestEncodeBatch:
     def test_empty_batch(self, vocab):
         assert encode_batch([], vocab, max_length=3).shape == (0, 3)
 
+    def test_empty_batch_validates_arguments(self, vocab):
+        with pytest.raises(ValueError, match="truncate"):
+            encode_batch([], vocab, 3, truncate="middle")
+        with pytest.raises(ValueError, match="max_length"):
+            encode_batch([], vocab, 0)
+
+    def test_short_document_validates_truncate(self, vocab):
+        with pytest.raises(ValueError, match="truncate"):
+            encode_sequence(["alpha"], vocab, max_length=3, truncate="middle")
+
 
 class TestSequenceLengths:
     def test_lengths(self, vocab):
