@@ -8,13 +8,14 @@ numpy FLOPs. The kernels here collapse each sequence op into **one** tape
 node with a hand-written backward-through-time:
 
 - :func:`embedding_gather` — one ``(B, T)`` index take forward, one
-  ``np.add.at`` scatter backward, replacing ``T`` per-timestep lookups;
+  :func:`repro.autograd.sparse.scatter_add` (a single ``np.bincount``)
+  backward, replacing ``T`` per-timestep lookups;
 - :func:`gru_sequence` — the full masked GRU recurrence. Gate weights
   arrive stacked (``(E, 3H)`` input, ``(H, 3H)`` hidden, ``(3H,)`` bias, in
-  update/reset/candidate order) so the input projections for *all*
-  timesteps are one ``(B·T, E) @ (E, 3H)`` matmul precomputed before the
-  time loop; the per-step loop runs in raw numpy with no Tensor wrapping,
-  and the saved gate activations are replayed by the backward closure;
+  update/reset/candidate order) so the input projections for *all* real
+  tokens are one ``(N, E) @ (E, 3H)`` matmul precomputed before the time
+  loop; the per-step loop runs in raw numpy with no Tensor wrapping, and
+  the saved gate activations are replayed by the backward closure;
 - :func:`lstm_sequence` — the LSTM equivalent with ``(E, 4H)`` / ``(H, 4H)``
   stacking in input/forget/cell/output order.
 
@@ -28,13 +29,17 @@ re-asserted inside ``benchmarks/test_training_throughput.py``.
 Masking semantics match the encoder exactly: ``mask`` is a ``(B, T)``
 ``{0, 1}`` array and padded positions carry the previous hidden (and LSTM
 cell) state through unchanged, so a kernel fed trailing all-pad columns
-produces the same trajectory as one fed the truncated sequence.
+produces the same trajectory as one fed the truncated sequence. Both
+recurrences run on packed sequences (:class:`_PackPlan`): each step only
+on the rows that still have a real token, so padding costs no FLOPs, no
+mask blends and no saved activations.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .sparse import scatter_add
 from .tensor import Tensor, ensure_tensor, instrument_op
 
 
@@ -89,8 +94,8 @@ def embedding_gather(weight, indices) -> Tensor:
 
     ``weight`` is the ``(V, E)`` embedding table; ``indices`` any integer
     array (typically ``(B, T)``). Forward is a single take producing
-    ``indices.shape + (E,)``; backward scatters with one ``np.add.at`` over
-    the flattened indices instead of ``T`` separate index nodes.
+    ``indices.shape + (E,)``; backward is one scatter-add over the
+    flattened indices instead of ``T`` separate index nodes.
     """
     weight = ensure_tensor(weight)
     idx = np.asarray(
@@ -105,11 +110,223 @@ def embedding_gather(weight, indices) -> Tensor:
     flat_idx = idx.ravel()
 
     def backward(grad):
-        full = np.zeros_like(weight.data)
-        np.add.at(full, flat_idx, grad.reshape(-1, dim))
-        return (full,)
+        return (scatter_add(flat_idx, grad.reshape(-1, dim), vocab),)
 
     return Tensor._make(weight.data[idx], (weight,), backward)
+
+
+class _PackPlan:
+    """Packed-sequence layout of a masked recurrence.
+
+    A row's recurrence depends only on its active tokens (mask 1), taken
+    in processing order (last to first when ``reverse``). Rows are sorted
+    by their number of active tokens, longest first, so step ``s`` — every
+    row's ``s``-th active token — runs on a prefix of ``counts[s]`` sorted
+    rows. Per-step values live in packed ``(size, ·)`` buffers, one
+    contiguous row block per step starting at ``starts[s]``: the layout of
+    PyTorch's ``pack_padded_sequence``. No step touches a padded position.
+
+    The forward trajectory is bit-identical to the padded ``(T, B, ·)``
+    loop: any row subset of at least two rows of a BLAS matrix product has
+    the same bits as the full product. Only a one-row product differs —
+    numpy sends it to gemv, which rounds differently — so when ``B ≥ 2`` a
+    step left with one real row also runs a *phantom* row: the next sorted
+    row, continuing past its last token on a copy of the real row's input.
+    Phantom values are never read out and receive zero gradient.
+
+    A mask with no padding at all packs to the time-major layout itself
+    (``counts[s] = B``, rows in batch order), so ``pack``/``unpack`` are
+    plain transposes and single-article serving pays no packing cost.
+
+    ``index`` maps every ``(b, t)`` position (flattened) to its row of
+    :meth:`state_buffer`: the state after the row's last active token at
+    or before ``t`` in processing order, or one of the ``B`` zero rows
+    before the first. ``source`` maps each packed row to the flat position
+    it reads its input from, ``B·T`` for phantom rows. Both are ``None``
+    for the dense layout.
+    """
+
+    __slots__ = (
+        "batch", "length", "reverse", "counts", "starts", "size",
+        "index", "source", "active",
+    )
+
+    def __init__(self, mask: np.ndarray, reverse: bool):
+        B, T = mask.shape
+        self.batch, self.length, self.reverse = B, T, reverse
+        if B and (mask == 1).all():
+            self.counts = [B] * T
+            self.size = B * T
+            self.starts = self.index = self.source = self.active = None
+            return
+        active = mask != 0
+        if (mask != active).any():
+            raise ValueError("mask must hold only 0 and 1")
+        proc = active[:, ::-1] if reverse else active
+        lengths = proc.sum(axis=1)
+        steps = int(lengths.max(initial=0))
+        # Rows with more than s active tokens, longest rows first.
+        counts = B - np.cumsum(np.bincount(lengths, minlength=steps + 1))[:steps]
+        if B >= 2:
+            counts = np.maximum(counts, 2)  # phantom row, see above
+        starts = np.cumsum(counts) - counts
+        size = int(starts[-1] + counts[-1]) if steps else 0
+        # first[k]: the state row of step k - 1's first row in
+        # state_buffer; first[0] = 0 points a row with no token processed
+        # yet at its own zero row.
+        first = np.zeros(steps + 1, dtype=np.intp)
+        first[1:] = starts + B
+        rank = np.empty(B, dtype=np.intp)
+        rank[np.argsort(-lengths, kind="stable")] = np.arange(B)
+        index = first[np.cumsum(proc, axis=1)] + rank[:, None]
+        if reverse:
+            index = index[:, ::-1]
+        self.index = index.ravel()
+        self.active = active.ravel()
+        real = np.flatnonzero(self.active)
+        self.source = np.full(size, B * T, dtype=np.intp)
+        self.source[self.index[real] - B] = real
+        self.counts = counts.tolist()
+        self.starts = starts.tolist()
+        self.size = size
+
+    def empty(self, width: int) -> np.ndarray:
+        """An uninitialised packed buffer, ``(T, B, width)`` for the dense
+        layout (so its step blocks need no reshape), else ``(size, width)``."""
+        if self.index is None:
+            return np.empty((self.length, self.batch, width))
+        return np.empty((self.size, width))
+
+    def state_buffer(self, H: int) -> np.ndarray:
+        """The states before any token (``B`` zero rows), then the packed
+        states: ``(T + 1, B, H)`` for the dense layout, else ``(B + size, H)``."""
+        if self.index is None:
+            states = np.empty((self.length + 1, self.batch, H))
+            states[0] = 0.0
+        else:
+            states = np.empty((self.batch + self.size, H))
+            states[: self.batch] = 0.0
+        return states
+
+    # -- per-step views, built once before a step loop -------------------
+    def blocks(self, *bufs: np.ndarray) -> list:
+        """The per-step row blocks of each ``(size, ·)`` packed buffer: one
+        ``(T, B, ·)`` array for the dense layout, else a list of views."""
+        if self.index is None:
+            T, B = self.length, self.batch
+            return [buf.reshape(T, B, buf.shape[-1]) for buf in bufs]
+        bounds = list(zip(self.starts, self.counts))
+        return [[buf[o : o + n] for o, n in bounds] for buf in bufs]
+
+    def state_blocks(self, states: np.ndarray):
+        """Per step, the :meth:`state_buffer` rows a step writes and the
+        rows it continues from (zero rows for the first step)."""
+        if self.index is None:
+            return states[1:], states[:-1]
+        B = self.batch
+        new = [states[B + o : B + o + n] for o, n in zip(self.starts, self.counts)]
+        prev = [states[:n] for n in self.counts[:1]] + [
+            states[B + o : B + o + n] for o, n in zip(self.starts, self.counts[1:])
+        ]
+        return new, prev
+
+    def rows(self, first: int, last: int) -> tuple:
+        """The packed row range ``[lo, hi)`` of steps ``first`` to ``last``."""
+        if self.index is None:
+            return first * self.batch, (last + 1) * self.batch
+        return self.starts[first], self.starts[last] + self.counts[last]
+
+    # -- padded (B, T, ·) <-> packed (size, ·) ----------------------------
+    def _to_time_major(self, a: np.ndarray) -> np.ndarray:
+        if self.reverse:
+            a = a[:, ::-1]
+        return np.swapaxes(a, 0, 1)
+
+    def pack(self, a: np.ndarray) -> np.ndarray:
+        """``(B, T, D)`` inputs → ``(size, D)`` (phantoms copy a real row)."""
+        width = a.shape[2]
+        if self.index is None:
+            return np.ascontiguousarray(self._to_time_major(a)).reshape(self.size, width)
+        flat = a.reshape(self.batch * self.length, width)
+        # mode="clip" sends the phantom marker B·T to a real position.
+        return np.take(flat, self.source, axis=0, mode="clip")
+
+    def unpack(self, states: np.ndarray) -> np.ndarray:
+        """:meth:`state_buffer` states → ``(B, T, H)`` trajectory."""
+        H = states.shape[-1]
+        if self.index is None:
+            traj = states[1:]
+            if self.reverse:
+                traj = traj[::-1]
+            return np.ascontiguousarray(np.swapaxes(traj, 0, 1))
+        return np.take(states, self.index, axis=0).reshape(self.batch, self.length, H)
+
+    def pack_grad(self, grad: np.ndarray) -> np.ndarray:
+        """Adjoint of :meth:`unpack`: a fresh ``(size, H)`` state gradient.
+
+        Positions that carry a state (padding after a row's active token,
+        in processing order) add their gradient to that state's row.
+        """
+        H = grad.shape[2]
+        if self.index is None:
+            return np.copy(self._to_time_major(grad), order="C").reshape(self.size, H)
+        flat = grad.reshape(self.batch * self.length, H)
+        out = np.take(flat, self.source, axis=0, mode="clip")
+        out[self.source == len(self.index)] = 0.0  # phantom rows
+        carried = np.flatnonzero(~self.active & (self.index >= self.batch))
+        pad_grad = np.take(flat, carried, axis=0)
+        # The encoder pools with the mask, so padded gradients are usually
+        # exact zeros; adding them would change nothing.
+        if pad_grad.any():
+            out += scatter_add(self.index[carried] - self.batch, pad_grad, self.size)
+        return out
+
+    def unpack_grad(self, dp: np.ndarray) -> np.ndarray:
+        """Adjoint of :meth:`pack`: ``(size, E)`` → ``(B, T, E)``, zero at padding."""
+        B, T, E = self.batch, self.length, dp.shape[1]
+        if self.index is None:
+            dxT = dp.reshape(T, B, E)
+            if self.reverse:
+                dxT = dxT[::-1]
+            return np.ascontiguousarray(np.swapaxes(dxT, 0, 1))
+        dx = np.zeros((B * T + 1, E))
+        dx[self.source] = dp  # phantom rows land in the spare last row
+        return dx[:-1].reshape(B, T, E)
+
+
+#: Packed rows whose weight, bias and input gradient products the
+#: ``gru_sequence`` backward pass batches into one set of matmuls: enough
+#: to amortise numpy dispatch on small batches, few enough to stay in
+#: cache on large ones.
+_FLUSH_ROWS = 2048
+
+
+def _split(blocks, at: int):
+    """Per-step blocks from :meth:`_PackPlan.blocks`, split at column ``at``."""
+    if isinstance(blocks, np.ndarray):
+        return blocks[:, :, :at], blocks[:, :, at:]
+    return [b[:, :at] for b in blocks], [b[:, at:] for b in blocks]
+
+
+def _project(plan: _PackPlan, xp: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``xp @ w + bias``, as a matrix product whenever the padded one was."""
+    if len(xp) == 1 and plan.batch * plan.length > 1:
+        out = (np.concatenate((xp, xp)) @ w)[:1]
+    else:
+        out = xp @ w
+    out += bias  # in place: no second (N, ·) allocation
+    return out
+
+
+def _prepare(op: str, seq_embedded, mask, w_x, w_h, b, gates: int):
+    seq_embedded = ensure_tensor(seq_embedded)
+    w_x, w_h, b = ensure_tensor(w_x), ensure_tensor(w_h), ensure_tensor(b)
+    x = seq_embedded.data
+    if x.ndim != 3:
+        raise ValueError(f"{op} expects (B, T, E) inputs, got {x.shape}")
+    B, T, E = x.shape
+    H = _check_gate_shapes(op, E, w_x.shape[1], w_x, w_h, b, gates=gates)
+    return seq_embedded, w_x, w_h, b, x, _as_mask(mask, B, T), H
 
 
 def gru_sequence(seq_embedded, mask, w_x, w_h, b, reverse: bool = False) -> Tensor:
@@ -120,8 +337,9 @@ def gru_sequence(seq_embedded, mask, w_x, w_h, b, reverse: bool = False) -> Tens
     seq_embedded:
         ``(B, T, E)`` embedded inputs.
     mask:
-        ``(B, T)`` array, 1.0 on real tokens, 0.0 on padding. Padded
-        positions carry the previous hidden state through unchanged.
+        ``(B, T)`` array, 1 on real tokens, 0 on padding. A row's
+        recurrence runs over its real tokens in order; padded positions
+        (leading, trailing or holes) carry the previous hidden state.
     w_x, w_h, b:
         Gate weights stacked in update/reset/candidate order:
         ``(E, 3H)``, ``(H, 3H)`` and ``(3H,)``.
@@ -130,129 +348,129 @@ def gru_sequence(seq_embedded, mask, w_x, w_h, b, reverse: bool = False) -> Tens
         backward direction of a bidirectional encoder). The returned
         trajectory is indexed in *original* time order either way.
 
-    Returns the ``(B, T, H)`` post-mask hidden trajectory.
+    Returns the ``(B, T, H)`` hidden trajectory: ``out[b, t]`` is the
+    state after the row's last real token at or before ``t`` in processing
+    order, zero before the first.
     """
-    seq_embedded = ensure_tensor(seq_embedded)
-    w_x, w_h, b = ensure_tensor(w_x), ensure_tensor(w_h), ensure_tensor(b)
-    x = seq_embedded.data
-    if x.ndim != 3:
-        raise ValueError(f"gru_sequence expects (B, T, E) inputs, got {x.shape}")
-    B, T, E = x.shape
-    H = _check_gate_shapes("gru_sequence", E, w_x.shape[1], w_x, w_h, b, gates=3)
-    m = _as_mask(mask, B, T)
+    seq_embedded, w_x, w_h, b, x, m, H = _prepare(
+        "gru_sequence", seq_embedded, mask, w_x, w_h, b, gates=3
+    )
+    E = x.shape[2]
+    plan = _PackPlan(m, reverse)
+    N = plan.size
     Wx, Wh, bias = w_x.data, w_h.data, b.data
-    if reverse:
-        x = x[:, ::-1]
-        m = m[:, ::-1]
     Wh_zr = Wh[:, : 2 * H]
     Wh_c = Wh[:, 2 * H :]
     # σ(a) = (1 + tanh(a/2)) / 2: the ½ inside tanh is folded into the
     # z/r columns of the forward weights. Scaling by a power of two is
     # exact outside the subnormal range, so every product and partial sum
-    # is exactly halved and tanh
-    # sees the same bits as ``tanh(0.5 * a)``. The backward closure keeps
-    # the unscaled weights.
+    # is exactly halved and tanh sees the same bits as ``tanh(0.5 * a)``.
+    # The backward closure keeps the unscaled weights.
     half = np.ones(3 * H)
     half[: 2 * H] = 0.5
     Wh_zr_half = Wh_zr * 0.5
-    # Time-major internal layout: every per-step slice below (projections,
-    # saved activations, gradients) is a contiguous (B, ·) block.
-    xT = np.ascontiguousarray(np.swapaxes(x, 0, 1))
-    mT = np.ascontiguousarray(m.T)
-    # All input projections for all timesteps in one big matmul.
-    proj = (xT.reshape(T * B, E) @ (Wx * half) + bias * half).reshape(T, B, 3 * H)
-    m3 = mT[:, :, None]
-    keep3 = 1.0 - m3
-    # Columns where every row is a real token need no mask blend at all —
-    # with trailing padding that is most of the sequence.
-    full_cols = mT.all(axis=1)
-    h = np.zeros((B, H))
-    states = np.empty((T, B, H))
-    zrs = np.empty((T, B, 2 * H))
-    cs = np.empty((T, B, H))
-    rh = np.empty((B, H))
+    xp = plan.pack(x)
+    # All input projections for all steps in one big matmul.
+    proj = _project(plan, xp, Wx * half, bias * half)
+    states = plan.state_buffer(H)
+    zrs = plan.empty(2 * H)
+    cs = plan.empty(H)
     # The step below computes (1 − z) ⊙ h + z ⊙ c as h + z ⊙ (c − h),
-    # written straight into the saved buffers through views split before
-    # the loop, so an unmasked step allocates nothing and slices nothing
-    # (single-article serving pays numpy dispatch, not FLOPs, in this
-    # loop). The two forms agree to rounding; tests pin this loop bit for
-    # bit against a plain per-step reference of the regrouped form.
+    # written straight into the packed buffers through views split before
+    # the loop, so a step allocates nothing and slices nothing (single-
+    # article serving pays numpy dispatch, not FLOPs, in this loop); the
+    # new state's block holds r ⊙ h until the state overwrites it. The
+    # two forms agree to rounding; tests pin this loop bit for bit against
+    # a plain per-step reference of the regrouped form.
+    proj_b, zr_b, c_b = plan.blocks(proj, zrs, cs)
     steps = zip(
-        proj[:, :, : 2 * H], proj[:, :, 2 * H :], zrs, zrs[:, :, :H],
-        zrs[:, :, H:], cs, states, full_cols, m3, keep3,
+        *_split(proj_b, 2 * H), zr_b, *_split(zr_b, H), c_b,
+        *plan.state_blocks(states),
     )
-    for p_zr, p_c, zr, z, r, c, h_new, full, m_t, keep_t in steps:
+    for p_zr, p_c, zr, z, r, c, h_new, h in steps:
         np.dot(h, Wh_zr_half, out=zr)
         zr += p_zr
         np.tanh(zr, out=zr)
         zr += 1.0
         zr *= 0.5
-        np.multiply(r, h, out=rh)
-        np.dot(rh, Wh_c, out=c)
+        np.multiply(r, h, out=h_new)
+        np.dot(h_new, Wh_c, out=c)
         c += p_c
         np.tanh(c, out=c)
         np.subtract(c, h, out=h_new)
         h_new *= z
         h_new += h
-        if not full:
-            h_new *= m_t
-            h_new += keep_t * h
-        h = h_new
 
     def backward(grad):
-        gT = np.swapaxes(grad, 0, 1)
-        gT = np.ascontiguousarray(gT[::-1] if reverse else gT)
-        dproj = np.empty((T, B, 3 * H))
-        zeros_h = np.zeros((B, H))
-        gh = np.zeros((B, H))
-        for t in range(T - 1, -1, -1):
-            gh = gh + gT[t]
-            h_prev = states[t - 1] if t > 0 else zeros_h
-            zr = zrs[t]
-            z = zr[:, :H]
-            r = zr[:, H:]
-            c = cs[t]
-            dh_tilde = gh if full_cols[t] else gh * m3[t]
-            # h̃ = (1 − z) ⊙ h_prev + z ⊙ c
-            dz = dh_tilde * (c - h_prev)
-            # c = tanh(x W_xh + (r ⊙ h_prev) W_hh + b_h)
-            da = (dh_tilde * z) * (1.0 - c * c)
-            drh = da @ Wh_c.T
-            # Pre-activation gate gradients, written straight into dproj so
-            # the weight/bias/input grads batch into post-loop matmuls.
-            dpt = dproj[t]
-            dpt[:, :H] = dz * z * (1.0 - z)
-            dpt[:, H : 2 * H] = (drh * h_prev) * r * (1.0 - r)
-            dpt[:, 2 * H :] = da
-            dh_prev = dh_tilde * (1.0 - z)
-            dh_prev += drh * r
-            dh_prev += dpt[:, : 2 * H] @ Wh_zr.T
-            if not full_cols[t]:
-                dh_prev += gh * keep3[t]
-            gh = dh_prev
-        # h_{t-1} trajectory: zeros at t=0, then the saved states shifted.
-        h_prev_all = np.empty((T, B, H))
-        if T:
-            h_prev_all[0] = 0.0
-            h_prev_all[1:] = states[:-1]
-        flat = dproj.reshape(T * B, 3 * H)
-        hp_flat = h_prev_all.reshape(T * B, H)
-        dWh = np.empty_like(Wh)
-        dWh[:, : 2 * H] = hp_flat.T @ flat[:, : 2 * H]
-        dWh[:, 2 * H :] = (
-            (zrs[:, :, H:] * h_prev_all).reshape(T * B, H).T @ flat[:, 2 * H :]
-        )
-        dxT = (flat @ Wx.T).reshape(T, B, E)
-        if reverse:
-            dxT = dxT[::-1]
-        dx = np.ascontiguousarray(np.swapaxes(dxT, 0, 1))
-        dWx = xT.reshape(T * B, E).T @ flat
-        db = flat.sum(axis=0)
-        return (dx, dWx, dWh, db)
+        gs = plan.pack_grad(grad)  # ∂L/∂h, fresh: the carry adds into it
+        # The projections are dead after the forward pass; their buffer
+        # takes the pre-activation gate gradients.
+        dproj = proj
+        dxp = np.empty((N, E))
+        dWx = np.zeros_like(Wx)
+        dWh = np.zeros_like(Wh)
+        db = np.zeros_like(bias)
+        r_all = zrs.reshape(N, 2 * H)[:, H:]
+        scratch = np.empty((4, plan.counts[0] if N else 0, H))
+        g_b, zr_b, c_b, dp_b = plan.blocks(gs, zrs, cs, dproj)
+        prev_b = plan.state_blocks(states)[1]
 
-    traj = states[::-1] if reverse else states
-    out = np.ascontiguousarray(np.swapaxes(traj, 0, 1))
-    return Tensor._make(out, (seq_embedded, w_x, w_h, b), backward)
+        carry = None
+        last = len(plan.counts) - 1
+        for s in range(last, -1, -1):
+            gh, h_prev, zr, c, dpt = g_b[s], prev_b[s], zr_b[s], c_b[s], dp_b[s]
+            if carry is not None:
+                gh[: len(carry)] += carry
+            z, r = zr[:, :H], zr[:, H:]
+            # Intermediates stay in contiguous scratch rows; each gate's
+            # gradient is written to its (strided) dproj columns once.
+            one_m_z, t1, t2, drh = scratch[:, : len(gh)]
+            np.subtract(1.0, z, out=one_m_z)
+            # h = (1 − z) ⊙ h_prev + z ⊙ c:  dz = gh ⊙ (c − h_prev) ⊙ z(1 − z)
+            np.subtract(c, h_prev, out=t1)
+            t1 *= gh
+            t1 *= z
+            np.multiply(t1, one_m_z, out=dpt[:, :H])
+            # c = tanh(x W_xh + (r ⊙ h_prev) W_hh + b_h):
+            # da = (gh ⊙ z) ⊙ (1 − c²)
+            np.multiply(c, c, out=t1)
+            np.subtract(1.0, t1, out=t1)
+            np.multiply(gh, z, out=t2)
+            t1 *= t2
+            dpt[:, 2 * H :] = t1
+            np.dot(t1, Wh_c.T, out=drh)
+            # dr = (drh ⊙ h_prev) ⊙ r(1 − r)
+            np.multiply(drh, h_prev, out=t1)
+            t1 *= r
+            np.subtract(1.0, r, out=t2)
+            np.multiply(t1, t2, out=dpt[:, H : 2 * H])
+            if s:
+                # ∂h_prev = gh ⊙ (1 − z) + drh ⊙ r + [dz|dr] W_hzr^T
+                carry = one_m_z
+                carry *= gh
+                np.multiply(drh, r, out=t1)
+                carry += t1
+                np.dot(dpt[:, : 2 * H], Wh_zr.T, out=t1)
+                carry += t1
+            # Weight, bias and input gradients of the steps s..last in one
+            # set of products over their contiguous packed rows: a small
+            # batch gathers many steps, a large one flushes every step or
+            # two while its rows are still in cache.
+            lo, hi = plan.rows(s, last)
+            if s and hi - lo < _FLUSH_ROWS:
+                continue
+            d = dproj[lo:hi]
+            hp = np.concatenate(prev_b[s : last + 1])
+            dWx += xp[lo:hi].T @ d
+            dWh[:, : 2 * H] += hp.T @ d[:, : 2 * H]
+            hp *= r_all[lo:hi]  # r ⊙ h_prev
+            dWh[:, 2 * H :] += hp.T @ d[:, 2 * H :]
+            db += d.sum(axis=0)
+            np.dot(d, Wx.T, out=dxp[lo:hi])
+            last = s - 1
+        return (plan.unpack_grad(dxp), dWx, dWh, db)
+
+    return Tensor._make(plan.unpack(states), (seq_embedded, w_x, w_h, b), backward)
 
 
 def lstm_sequence(seq_embedded, mask, w_x, w_h, b, reverse: bool = False) -> Tensor:
@@ -261,113 +479,77 @@ def lstm_sequence(seq_embedded, mask, w_x, w_h, b, reverse: bool = False) -> Ten
     Same contract as :func:`gru_sequence` with four stacked gates in
     input/forget/cell/output order: ``(E, 4H)``, ``(H, 4H)``, ``(4H,)``.
     Padded positions carry both the hidden and the cell state through.
-    Returns the ``(B, T, H)`` post-mask hidden trajectory.
+    Returns the ``(B, T, H)`` hidden trajectory.
     """
-    seq_embedded = ensure_tensor(seq_embedded)
-    w_x, w_h, b = ensure_tensor(w_x), ensure_tensor(w_h), ensure_tensor(b)
-    x = seq_embedded.data
-    if x.ndim != 3:
-        raise ValueError(f"lstm_sequence expects (B, T, E) inputs, got {x.shape}")
-    B, T, E = x.shape
-    H = _check_gate_shapes("lstm_sequence", E, w_x.shape[1], w_x, w_h, b, gates=4)
-    m = _as_mask(mask, B, T)
+    seq_embedded, w_x, w_h, b, x, m, H = _prepare(
+        "lstm_sequence", seq_embedded, mask, w_x, w_h, b, gates=4
+    )
+    plan = _PackPlan(m, reverse)
+    N = plan.size
     Wx, Wh, bias = w_x.data, w_h.data, b.data
-    if reverse:
-        x = x[:, ::-1]
-        m = m[:, ::-1]
-    # Time-major internal layout: every per-step slice below (projections,
-    # saved activations, gradients) is a contiguous (B, ·) block.
-    xT = np.ascontiguousarray(np.swapaxes(x, 0, 1))
-    mT = np.ascontiguousarray(m.T)
-    proj = (xT.reshape(T * B, E) @ Wx + bias).reshape(T, B, 4 * H)
-    m3 = mT[:, :, None]
-    keep3 = 1.0 - m3
-    # Columns where every row is a real token need no mask blend at all —
-    # with trailing padding that is most of the sequence.
-    full_cols = mT.all(axis=1)
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
-    states = np.empty((T, B, H))
-    cells = np.empty((T, B, H))
-    # i/f/g/o activations, stored stacked the same way the weights are.
-    gates = np.empty((T, B, 4 * H))
-    tanhc = np.empty((T, B, H))
-    for t in range(T):
-        gt = gates[t]
-        p = proj[t] + h @ Wh
-        i_f = _sigmoid(p[:, : 2 * H], out=gt[:, : 2 * H])
-        i = i_f[:, :H]
-        f = i_f[:, H:]
-        g_gate = np.tanh(p[:, 2 * H : 3 * H], out=gt[:, 2 * H : 3 * H])
-        o = _sigmoid(p[:, 3 * H :], out=gt[:, 3 * H :])
-        c_new = f * c + i * g_gate
-        tc = np.tanh(c_new, out=tanhc[t])
-        h_new = o * tc
-        if not full_cols[t]:
-            mt = m3[t]
-            kt = keep3[t]
-            h_new = mt * h_new + kt * h
-            c_new = mt * c_new + kt * c
-        states[t] = h_new
-        cells[t] = c_new
-        h = h_new
-        c = c_new
+    E = x.shape[2]
+    xp = plan.pack(x)
+    # i/f/g/o pre-activations, overwritten in place by the activations,
+    # stacked the same way the weights are.
+    gates = _project(plan, xp, Wx, bias)
+    states = plan.state_buffer(H)
+    cells = plan.state_buffer(H)
+    tanhc = plan.empty(H)
+    gates_b, tanhc_b = plan.blocks(gates, tanhc)
+    steps = zip(gates_b, *plan.state_blocks(cells), tanhc_b, *plan.state_blocks(states))
+    for gt, c_new, c, tc, h_new, h in steps:
+        gt += h @ Wh
+        _sigmoid(gt[:, : 2 * H], out=gt[:, : 2 * H])
+        np.tanh(gt[:, 2 * H : 3 * H], out=gt[:, 2 * H : 3 * H])
+        _sigmoid(gt[:, 3 * H :], out=gt[:, 3 * H :])
+        # c = f ⊙ c_prev + i ⊙ g;  h = o ⊙ tanh(c)
+        np.multiply(gt[:, H : 2 * H], c, out=c_new)
+        c_new += gt[:, :H] * gt[:, 2 * H : 3 * H]
+        np.tanh(c_new, out=tc)
+        np.multiply(gt[:, 3 * H :], tc, out=h_new)
 
     def backward(grad):
-        gT = np.swapaxes(grad, 0, 1)
-        gT = np.ascontiguousarray(gT[::-1] if reverse else gT)
-        dproj = np.empty((T, B, 4 * H))
-        zeros_h = np.zeros((B, H))
-        gh = np.zeros((B, H))
-        gc = np.zeros((B, H))
-        for t in range(T - 1, -1, -1):
-            gh = gh + gT[t]
-            h_prev = states[t - 1] if t > 0 else zeros_h
-            c_prev = cells[t - 1] if t > 0 else zeros_h
-            full = full_cols[t]
-            gt = gates[t]
+        gs = plan.pack_grad(grad)  # ∂L/∂h, fresh: the carry adds into it
+        dxp = np.empty((N, E))
+        dWx = np.zeros_like(Wx)
+        dWh = np.zeros_like(Wh)
+        db = np.zeros_like(bias)
+        dproj = np.empty((plan.counts[0] if N else 0, 4 * H))
+        g_b, gates_b, tanhc_b, x_b, dx_b = plan.blocks(gs, gates, tanhc, xp, dxp)
+        steps = list(zip(
+            g_b, plan.state_blocks(states)[1], plan.state_blocks(cells)[1],
+            gates_b, tanhc_b, x_b, dx_b,
+        ))
+        carry_h = carry_c = None
+        # Each step's gate gradients stay in a scratch block and go
+        # straight into the weight, bias and input gradients.
+        for s in range(len(steps) - 1, -1, -1):
+            gh, h_prev, c_prev, gt, tc, x_s, dx_s = steps[s]
+            if carry_h is not None:
+                gh[: len(carry_h)] += carry_h
             i = gt[:, :H]
             f = gt[:, H : 2 * H]
             g_gate = gt[:, 2 * H : 3 * H]
             o = gt[:, 3 * H :]
-            tc = tanhc[t]
-            dh_new = gh if full else gh * m3[t]
-            # h_new = o ⊙ tanh(c_new); masked cell carry adds gc ⊙ m.
-            dc_new = dh_new * o * (1.0 - tc * tc)
-            dc_new += gc if full else gc * m3[t]
-            do = dh_new * tc
-            # c_new = f ⊙ c_prev + i ⊙ g — pre-activation grads go straight
-            # into dproj so the weight/bias/input grads batch after the loop.
-            dpt = dproj[t]
-            dpt[:, :H] = (dc_new * g_gate) * i * (1.0 - i)
-            dpt[:, H : 2 * H] = (dc_new * c_prev) * f * (1.0 - f)
-            dpt[:, 2 * H : 3 * H] = (dc_new * i) * (1.0 - g_gate * g_gate)
-            dpt[:, 3 * H :] = do * o * (1.0 - o)
-            dh_prev = dpt @ Wh.T
-            if not full:
-                dh_prev += gh * keep3[t]
-                gc = dc_new * f + gc * keep3[t]
-            else:
-                gc = dc_new * f
-            gh = dh_prev
-        # h_{t-1} trajectory: zeros at t=0, then the saved states shifted.
-        h_prev_all = np.empty((T, B, H))
-        if T:
-            h_prev_all[0] = 0.0
-            h_prev_all[1:] = states[:-1]
-        flat = dproj.reshape(T * B, 4 * H)
-        dWh = h_prev_all.reshape(T * B, H).T @ flat
-        dxT = (flat @ Wx.T).reshape(T, B, E)
-        if reverse:
-            dxT = dxT[::-1]
-        dx = np.ascontiguousarray(np.swapaxes(dxT, 0, 1))
-        dWx = xT.reshape(T * B, E).T @ flat
-        db = flat.sum(axis=0)
-        return (dx, dWx, dWh, db)
+            # h = o ⊙ tanh(c); the cell gradient also arrives from step s+1.
+            dc = gh * o * (1.0 - tc * tc)
+            if carry_c is not None:
+                dc[: len(carry_c)] += carry_c
+            dpt = dproj[: len(gh)]
+            dpt[:, :H] = (dc * g_gate) * i * (1.0 - i)
+            dpt[:, H : 2 * H] = (dc * c_prev) * f * (1.0 - f)
+            dpt[:, 2 * H : 3 * H] = (dc * i) * (1.0 - g_gate * g_gate)
+            dpt[:, 3 * H :] = (gh * tc) * o * (1.0 - o)
+            dWx += x_s.T @ dpt
+            dWh += h_prev.T @ dpt
+            db += dpt.sum(axis=0)
+            np.dot(dpt, Wx.T, out=dx_s)
+            if s:
+                carry_h = dpt @ Wh.T
+                carry_c = dc * f
+        return (plan.unpack_grad(dxp), dWx, dWh, db)
 
-    traj = states[::-1] if reverse else states
-    out = np.ascontiguousarray(np.swapaxes(traj, 0, 1))
-    return Tensor._make(out, (seq_embedded, w_x, w_h, b), backward)
+    return Tensor._make(plan.unpack(states), (seq_embedded, w_x, w_h, b), backward)
 
 
 def _gdu_t_zero(

@@ -13,6 +13,27 @@ import numpy as np
 from .tensor import Tensor, instrument_op
 
 
+def scatter_add(index: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
+    """Row scatter-add: ``out[i] = Σ_{j: index[j] == i} values[j]``.
+
+    ``index`` holds ``len(values)`` row numbers in ``[0, num_rows)``; the
+    result has shape ``(num_rows,) + values.shape[1:]``. It is one
+    ``np.bincount`` over the flattened ``index * width + column`` keys,
+    which adds each output element's terms in ``j`` order starting from
+    zero, exactly as ``np.add.at(zeros, index, values)`` does — same bits,
+    several times faster.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    tail = values.shape[1:]
+    width = int(np.prod(tail))
+    keys = np.asarray(index, dtype=np.intp)[:, None] * width + np.arange(width)
+    out = np.bincount(
+        keys.ravel(), weights=values.reshape(-1), minlength=num_rows * width
+    )
+    # bincount of an empty input is int64, whatever the weights.
+    return out.astype(np.float64, copy=False).reshape((num_rows,) + tail)
+
+
 def segment_sum(source: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
     """Sum rows of ``source`` into ``num_segments`` buckets.
 
@@ -23,11 +44,9 @@ def segment_sum(source: Tensor, segment_ids: np.ndarray, num_segments: int) -> T
     segment_ids = np.asarray(segment_ids, dtype=np.intp)
     if segment_ids.ndim != 1 or segment_ids.shape[0] != source.shape[0]:
         raise ValueError("segment_ids must be 1-D and align with source rows")
-    if segment_ids.size and segment_ids.max() >= num_segments:
+    if segment_ids.size and (segment_ids.min() < 0 or segment_ids.max() >= num_segments):
         raise IndexError("segment_ids out of range for num_segments")
-    out_shape = (num_segments,) + source.shape[1:]
-    out = np.zeros(out_shape, dtype=np.float64)
-    np.add.at(out, segment_ids, source.data)
+    out = scatter_add(segment_ids, source.data, num_segments)
 
     def backward(grad):
         return (grad[segment_ids],)
@@ -62,24 +81,21 @@ def gather_segment_mean(
     segment_ids = np.asarray(segment_ids, dtype=np.intp)
     if gather_index.shape != segment_ids.shape or gather_index.ndim != 1:
         raise ValueError("gather_index and segment_ids must be equal-length 1-D arrays")
-    if gather_index.size and gather_index.max() >= source.shape[0]:
+    if gather_index.size and (gather_index.min() < 0 or gather_index.max() >= source.shape[0]):
         raise IndexError("gather_index out of range for source")
-    if segment_ids.size and segment_ids.max() >= num_segments:
+    if segment_ids.size and (segment_ids.min() < 0 or segment_ids.max() >= num_segments):
         raise IndexError("segment_ids out of range for num_segments")
 
     counts = np.bincount(segment_ids, minlength=num_segments).astype(np.float64)
     safe_counts = np.maximum(counts, 1.0)
 
-    out = np.zeros((num_segments, source.shape[1]), dtype=np.float64)
-    np.add.at(out, segment_ids, source.data[gather_index])
+    out = scatter_add(segment_ids, source.data[gather_index], num_segments)
     out /= safe_counts[:, None]
 
     def backward(grad):
         # d out[s] / d source[g] = 1/count[s] for each (g, s) edge.
         edge_grad = grad[segment_ids] / safe_counts[segment_ids][:, None]
-        src_grad = np.zeros_like(source.data)
-        np.add.at(src_grad, gather_index, edge_grad)
-        return (src_grad,)
+        return (scatter_add(gather_index, edge_grad, source.shape[0]),)
 
     return Tensor._make(out, (source,), backward)
 

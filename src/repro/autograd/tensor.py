@@ -348,8 +348,8 @@ class Tensor:
 
         def backward(grad):
             return (
-                _unbroadcast(grad, self.shape),
-                _unbroadcast(grad, other.shape),
+                _unbroadcast(grad, self.shape) if self.requires_grad else None,
+                _unbroadcast(grad, other.shape) if other.requires_grad else None,
             )
 
         return Tensor._make(self.data + other.data, (self, other), backward)
@@ -367,8 +367,8 @@ class Tensor:
 
         def backward(grad):
             return (
-                _unbroadcast(grad, self.shape),
-                _unbroadcast(-grad, other.shape),
+                _unbroadcast(grad, self.shape) if self.requires_grad else None,
+                _unbroadcast(-grad, other.shape) if other.requires_grad else None,
             )
 
         return Tensor._make(self.data - other.data, (self, other), backward)
@@ -381,8 +381,10 @@ class Tensor:
 
         def backward(grad):
             return (
-                _unbroadcast(grad * other.data, self.shape),
-                _unbroadcast(grad * self.data, other.shape),
+                _unbroadcast(grad * other.data, self.shape)
+                if self.requires_grad else None,
+                _unbroadcast(grad * self.data, other.shape)
+                if other.requires_grad else None,
             )
 
         return Tensor._make(self.data * other.data, (self, other), backward)
@@ -394,8 +396,10 @@ class Tensor:
 
         def backward(grad):
             return (
-                _unbroadcast(grad / other.data, self.shape),
-                _unbroadcast(-grad * self.data / (other.data ** 2), other.shape),
+                _unbroadcast(grad / other.data, self.shape)
+                if self.requires_grad else None,
+                _unbroadcast(-grad * self.data / (other.data ** 2), other.shape)
+                if other.requires_grad else None,
             )
 
         return Tensor._make(self.data / other.data, (self, other), backward)
@@ -417,15 +421,22 @@ class Tensor:
         a, b = self.data, other.data
 
         def backward(grad):
-            if a.ndim == 1 and b.ndim == 1:
-                return (grad * b, grad * a)
-            if a.ndim == 1:  # (k,) @ (k, n) -> (n,)
-                return (grad @ b.T, np.outer(a, grad))
-            if b.ndim == 1:  # (m, k) @ (k,) -> (m,)
-                return (np.outer(grad, b), a.T @ grad)
-            ga = grad @ np.swapaxes(b, -1, -2)
-            gb = np.swapaxes(a, -1, -2) @ grad
-            return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
+            ga = gb = None
+            if self.requires_grad:
+                if b.ndim == 1:  # (·, k) @ (k,)
+                    ga = grad * b if a.ndim == 1 else np.outer(grad, b)
+                elif a.ndim == 1:  # (k,) @ (k, n) -> (n,)
+                    ga = grad @ b.T
+                else:
+                    ga = _unbroadcast(grad @ np.swapaxes(b, -1, -2), a.shape)
+            if other.requires_grad:
+                if a.ndim == 1:  # (k,) @ (k, ·)
+                    gb = grad * a if b.ndim == 1 else np.outer(a, grad)
+                elif b.ndim == 1:  # (m, k) @ (k,) -> (m,)
+                    gb = a.T @ grad
+                else:
+                    gb = _unbroadcast(np.swapaxes(a, -1, -2) @ grad, b.shape)
+            return (ga, gb)
 
         return Tensor._make(a @ b, (self, other), backward)
 

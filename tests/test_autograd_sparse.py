@@ -41,6 +41,13 @@ class TestGatherSegmentMean:
         with pytest.raises(ValueError):
             gather_segment_mean(src, np.array([0, 1]), np.array([0]), 1)
 
+    def test_negative_indices_rejected(self):
+        src = Tensor(np.ones((2, 2)))
+        with pytest.raises(IndexError):
+            gather_segment_mean(src, np.array([-1]), np.array([0]), 1)
+        with pytest.raises(IndexError):
+            gather_segment_mean(src, np.array([0]), np.array([-1]), 1)
+
     def test_gradcheck(self, rng):
         src = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
         gather = np.array([0, 1, 1, 5, 4, 2, 2])

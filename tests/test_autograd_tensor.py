@@ -308,3 +308,33 @@ class TestNonlinearities:
     def test_tanh_range(self, rng):
         out = Tensor(rng.standard_normal(100) * 10).tanh()
         assert np.all(np.abs(out.data) <= 1.0)
+
+
+class TestConstantOperandGradients:
+    """Binary ops return no gradient for an operand that does not require
+    one, instead of computing it for the tape to drop."""
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda a, b: a + b,
+            lambda a, b: a - b,
+            lambda a, b: a * b,
+            lambda a, b: a / b,
+            lambda a, b: a @ b,
+        ],
+        ids=["add", "sub", "mul", "div", "matmul"],
+    )
+    @pytest.mark.parametrize("constant_first", [False, True])
+    def test_constant_operand_gets_none(self, rng, op, constant_first):
+        x = Tensor(rng.standard_normal((3, 3)) + 3.0, requires_grad=True)
+        c = Tensor(rng.standard_normal((3, 3)) + 3.0)
+        out = op(c, x) if constant_first else op(x, c)
+        grads = out._backward(np.ones((3, 3)))
+        assert grads[0 if constant_first else 1] is None
+        assert grads[1 if constant_first else 0] is not None
+        # The variable's gradient is the one computed when both require it.
+        both = Tensor(c.data, requires_grad=True)
+        full = (op(both, x) if constant_first else op(x, both))._backward(np.ones((3, 3)))
+        i = 1 if constant_first else 0
+        np.testing.assert_array_equal(grads[i], full[i])

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.autograd import GRUEncoder, Tensor, gradcheck
+from repro.autograd import GRUEncoder, Tensor, gradcheck, stack
+from repro.autograd.sparse import scatter_add
 from repro.autograd.kernels import (
     embedding_gather,
     gdu_layer,
@@ -150,6 +153,140 @@ class TestGruForwardExact:
         mask = (np.arange(T) < lengths[:, None]).astype(np.float64)
         got = gru_sequence(x, mask, w_x, w_h, b, reverse=reverse).data
         want = _naive_gru_forward(x, mask, w_x, w_h, b, reverse=reverse)
+        np.testing.assert_array_equal(got, want)
+
+
+def _reference_recurrence(cell, x, mask, w_x, w_h, b, reverse):
+    """Per-step recurrence on the autograd tape over the padded batch.
+
+    Every step runs on all ``B`` rows and blends with the mask, so padded
+    positions carry the state; the gate sigmoid is written in the kernels'
+    ``(1 + tanh(a/2)) / 2`` form. Returns the ``(B, T, H)`` trajectory
+    and the four leaf tensors ``(x, w_x, w_h, b)``.
+    """
+    leaves = [Tensor(a, requires_grad=True) for a in (x, w_x, w_h, b)]
+    X, Wx, Wh, bias = leaves
+    B, T, _ = x.shape
+    H = w_h.shape[0]
+    sig = lambda a: (a * 0.5).tanh() * 0.5 + 0.5
+    h = Tensor(np.zeros((B, H)))
+    c = Tensor(np.zeros((B, H)))
+    out = [None] * T
+    for t in range(T - 1, -1, -1) if reverse else range(T):
+        m = Tensor(mask[:, t : t + 1])
+        keep = Tensor(1.0 - mask[:, t : t + 1])
+        a = X[:, t, :] @ Wx + bias
+        if cell == "gru":
+            zr = sig(a[:, : 2 * H] + h @ Wh[:, : 2 * H])
+            z, r = zr[:, :H], zr[:, H:]
+            cand = (a[:, 2 * H :] + (r * h) @ Wh[:, 2 * H :]).tanh()
+            h_new = h + z * (cand - h)
+        else:
+            p = a + h @ Wh
+            i, f, o = sig(p[:, :H]), sig(p[:, H : 2 * H]), sig(p[:, 3 * H :])
+            c_new = f * c + i * p[:, 2 * H : 3 * H].tanh()
+            h_new = o * c_new.tanh()
+            c = m * c_new + keep * c
+        h = m * h_new + keep * h
+        out[t] = h
+    traj = stack(out, axis=1) if T else Tensor(np.zeros((B, 0, H)))
+    return traj, leaves
+
+
+#: Property-test sizes: wide enough that a one-row (gemv) product rounds
+#: differently from the same row inside a matrix (gemm) product.
+E_P, H_P = 8, 16
+
+
+@st.composite
+def masked_batches(draw):
+    """``(mask, reverse, seed)``: any {0, 1} mask — holes, leading and
+    trailing padding, all-pad rows, B = 0 and T = 0 included."""
+    B = draw(st.integers(0, 5))
+    T = draw(st.integers(0, 7))
+    bits = draw(st.lists(st.booleans(), min_size=B * T, max_size=B * T))
+    mask = np.array(bits, dtype=np.float64).reshape(B, T)
+    return mask, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+#: Steps where exactly one of several rows is active (the gemv case).
+ONE_ACTIVE = np.array([[1.0, 1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0, 0.0]])
+HOLES = np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0], [0.0] * 4])
+
+
+class TestPackedRecurrenceProperties:
+    """gru/lstm_sequence against the padded per-step reference, any mask."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=masked_batches(), cell=st.sampled_from(["gru", "lstm"]))
+    @example(case=(ONE_ACTIVE, False, 1), cell="gru")
+    @example(case=(ONE_ACTIVE, True, 2), cell="gru")
+    @example(case=(ONE_ACTIVE, False, 3), cell="lstm")
+    @example(case=(HOLES, True, 4), cell="gru")
+    @example(case=(HOLES, False, 5), cell="lstm")
+    @example(case=(np.ones((1, 6)), False, 6), cell="gru")
+    @example(case=(np.array([[0.0, 0.0, 1.0, 0.0]]), False, 7), cell="gru")
+    @example(case=(np.zeros((0, 4)), False, 8), cell="gru")
+    @example(case=(np.zeros((3, 0)), True, 9), cell="lstm")
+    def test_matches_per_step_reference(self, case, cell):
+        mask, reverse, seed = case
+        rng = np.random.default_rng(seed)
+        B, T = mask.shape
+        gates = 3 if cell == "gru" else 4
+        x = rng.standard_normal((B, T, E_P))
+        w_x = rng.standard_normal((E_P, gates * H_P)) * 0.5
+        w_h = rng.standard_normal((H_P, gates * H_P)) * 0.5
+        b = rng.standard_normal(gates * H_P) * 0.1
+        kernel = gru_sequence if cell == "gru" else lstm_sequence
+        leaves = [Tensor(a, requires_grad=True) for a in (x, w_x, w_h, b)]
+        out = kernel(leaves[0], mask, *leaves[1:], reverse=reverse)
+        ref, ref_leaves = _reference_recurrence(cell, x, mask, w_x, w_h, b, reverse)
+        if cell == "gru":
+            np.testing.assert_array_equal(
+                out.data, _naive_gru_forward(x, mask, w_x, w_h, b, reverse=reverse)
+            )
+        np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=1e-12)
+        # A seed gradient on every position, padding included: a padded
+        # position's gradient belongs to the state it carries.
+        seed_grad = rng.standard_normal(out.shape)
+        out.backward(seed_grad)
+        if ref.requires_grad:
+            ref.backward(seed_grad)
+        for got, want in zip(leaves, ref_leaves):
+            want_grad = want.grad if want.grad is not None else np.zeros_like(want.data)
+            np.testing.assert_allclose(got.grad, want_grad, rtol=0, atol=1e-12)
+
+
+    @pytest.mark.parametrize("kernel", [gru_sequence, lstm_sequence])
+    def test_non_binary_mask_rejected(self, rng, kernel):
+        gates = 3 if kernel is gru_sequence else 4
+        x = rng.standard_normal((2, 3, 2))
+        w_x, w_h, b = _stacked(rng, 2, 3, gates=gates)
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            kernel(x, np.array([[1.0, 0.5, 0.0], [1.0, 1.0, 1.0]]), w_x, w_h, b)
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            kernel(x, np.full((2, 3), 2.0), w_x, w_h, b)
+
+
+class TestScatterAdd:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        index=st.lists(st.integers(0, 5), max_size=30),
+        spare_rows=st.integers(0, 3),
+        tail=st.sampled_from([(), (3,), (2, 2)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(index=[], spare_rows=0, tail=(3,), seed=0)
+    @example(index=[], spare_rows=2, tail=(), seed=0)
+    @example(index=[4, 4, 4, 0, 4], spare_rows=0, tail=(3,), seed=1)
+    def test_matches_add_at(self, index, spare_rows, tail, seed):
+        index = np.asarray(index, dtype=np.intp)
+        num_rows = (int(index.max()) + 1 if index.size else 0) + spare_rows
+        values = np.random.default_rng(seed).standard_normal((index.size,) + tail)
+        want = np.zeros((num_rows,) + tail)
+        np.add.at(want, index, values)
+        got = scatter_add(index, values, num_rows)
+        assert got.dtype == np.float64
         np.testing.assert_array_equal(got, want)
 
 
